@@ -20,21 +20,30 @@
 //!   `lte-tunnel`, `flappy-wifi`, `burst-loss-storm`, `handover-walk`)
 //!   shared by the CLI and CI, loaded from the committed `.scenario`
 //!   corpus files rather than hand-written constructors.
-//! * [`testnet`] — the chaos-test network rigs shared by the TCP and MPTCP
-//!   suites, with labelled RNG stream-splitting so fault draws never
-//!   perturb traffic draws.
+//! * [`reactor`] — the settle loop that moves segments between MPTCP
+//!   connections over any [`Transport`], on a virtual or a wall
+//!   [`ClockSource`] ([`clock`]), and applies fault plans to its shaped
+//!   paths. The chaos rigs here and the live backend both run it.
+//! * [`testnet`] — the shaped paths, the one shaping draw ([`Shaper`]) and
+//!   the chaos-test network rigs shared by the TCP and MPTCP suites, with
+//!   labelled RNG stream-splitting so fault draws never perturb traffic
+//!   draws.
 //!
 //! Everything downstream of a seed is deterministic: the same seed and the
 //! same plan produce byte-identical telemetry traces, which is what lets
 //! CI assert on resilience numbers instead of eyeballing them.
 
+pub mod clock;
 pub mod injector;
 pub mod plan;
+pub mod reactor;
 pub mod scenarios;
 pub mod spec;
 pub mod testnet;
 
+pub use clock::ClockSource;
 pub use injector::{FaultInjector, FaultSurface};
 pub use plan::{FaultAction, FaultEvent, FaultPlan, FaultTarget};
+pub use reactor::{mp_connection, ConnWorker, Reactor, ReactorStats, Transport};
 pub use spec::FaultSpec;
-pub use testnet::{ChaosNet, ChaosPath, MpChaosRig};
+pub use testnet::{ChaosNet, ChaosPath, MpChaosRig, Shaper};

@@ -1,30 +1,36 @@
-//! Shared chaos-test network rigs.
+//! Shared chaos-test network rigs and the one shaping draw.
 //!
 //! The TCP and MPTCP chaos suites used to carry their own copy-pasted
 //! "lossy network" (an event queue plus per-path drop/dup/jitter draws).
-//! This module is the single shared implementation: a [`ChaosNet`] of
-//! [`ChaosPath`]s for segment transport, and an end-to-end [`MpChaosRig`]
-//! that pumps a full MPTCP connection pair through it and implements
-//! [`FaultSurface`], so a [`FaultPlan`] can be replayed against a live
-//! transfer in a few lines of test code.
+//! This module is the single shared implementation:
 //!
-//! Randomness discipline: the rig seed is split with
-//! [`SimRng::fork_labeled`] into independent streams (`"traffic"` for the
-//! channel draws; callers fork more, e.g. `"faults"`, for their own use),
-//! so adding a new consumer never shifts an existing stream.
+//! * [`ChaosPath`] — one path's loss/delay/blackhole state, the vocabulary
+//!   a [`FaultPlan`](crate::FaultPlan) speaks;
+//! * [`Shaper`] — the shaping draw (pass/loss gate, duplication gate, one
+//!   jitter draw per copy) over a set of paths. Every shaped transport
+//!   in the workspace calls it: [`ChaosNet`] here, and the live backend's
+//!   duplex and UDP transports;
+//! * [`ChaosNet`] — a [`Transport`] between endpoint 0 (client) and
+//!   endpoint 1 (server) that queues shaped segments by arrival time;
+//! * [`MpChaosRig`] — a full MPTCP connection pair over a [`ChaosNet`],
+//!   which is simply a [`Reactor`] on a virtual clock: the settle loop and
+//!   the [`FaultSurface`](crate::FaultSurface) it runs are the reactor's.
+//!
+//! Randomness discipline: the seed is split with [`SimRng::fork_labeled`]
+//! into independent streams (`"traffic"` for the shaping draws; callers
+//! fork more, e.g. `"faults"`, for their own use), so adding a new
+//! consumer never shifts an existing stream.
 //!
 //! Fidelity note: paths here are delay-based, not rate-serialized — the
 //! full queueing [`emptcp_phy::Link`] model lives in the experiment host.
-//! Consequently [`FaultSurface::set_rate`] on a rig only distinguishes
-//! `Some(0)` (a silent blackhole) from everything else (path passes
-//! traffic); intermediate rates are a no-op here.
+//! Consequently a rate fault on a shaped path only distinguishes `Some(0)`
+//! (a silent blackhole) from everything else (path passes traffic);
+//! intermediate rates are a no-op here.
 
-use crate::injector::{FaultInjector, FaultSurface};
-use crate::plan::{FaultPlan, FaultTarget};
-use emptcp_mptcp::{MpConnection, Role, SubflowId};
-use emptcp_phy::{IfaceKind, LossModel, LossProcess};
+use crate::reactor::{Reactor, Transport};
+use emptcp_phy::{LossModel, LossProcess};
 use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use emptcp_tcp::{Segment, TcpConfig};
+use emptcp_tcp::Segment;
 
 /// One bidirectional path through the chaos network.
 #[derive(Clone, Debug)]
@@ -79,9 +85,9 @@ impl ChaosPath {
         self.nominal_loss
     }
 
-    /// Administrative up/down. Out-of-crate fault surfaces (the live
-    /// backend's shaped transports) apply [`FaultAction::IfaceDown`] /
-    /// [`FaultAction::IfaceUp`](crate::FaultAction) through this.
+    /// Administrative up/down: how the reactor's fault surface applies
+    /// [`FaultAction::IfaceDown`](crate::FaultAction) /
+    /// [`FaultAction::IfaceUp`](crate::FaultAction).
     pub fn set_up(&mut self, up: bool) {
         self.up = up;
     }
@@ -93,42 +99,43 @@ impl ChaosPath {
     }
 }
 
-/// A multi-path lossy, jittery, duplicating network between two endpoints.
+/// The shaping draw over a set of paths, seeded like every shaped
+/// transport: the seed's `"traffic"` fork feeds the draws, the root is
+/// only ever forked.
 #[derive(Debug)]
-pub struct ChaosNet {
-    queue: EventQueue<(bool, u8, Segment)>,
+pub struct Shaper {
+    /// The paths, indexed by the [`FaultTarget::path_index`] convention.
+    ///
+    /// [`FaultTarget::path_index`]: crate::FaultTarget::path_index
+    pub paths: Vec<ChaosPath>,
     /// The seed RNG; never drawn from directly, only forked by label.
     root: SimRng,
     /// The `"traffic"` stream: loss, duplication and jitter draws.
     rng: SimRng,
-    /// The paths, indexed by [`FaultTarget::path_index`] convention.
-    pub paths: Vec<ChaosPath>,
 }
 
-impl ChaosNet {
-    /// A network over the given paths, seeded deterministically.
-    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> ChaosNet {
+impl Shaper {
+    /// A shaper over `paths`, seeded deterministically.
+    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> Shaper {
         let root = SimRng::new(seed);
         let rng = root.fork_labeled("traffic");
-        ChaosNet {
-            queue: EventQueue::new(),
-            root,
-            rng,
-            paths,
-        }
+        Shaper { paths, root, rng }
     }
 
-    /// An independent RNG stream derived from the rig seed; drawing from it
+    /// An independent RNG stream derived from the seed; drawing from it
     /// never perturbs the traffic stream (or any other fork).
     pub fn fork(&self, label: &str) -> SimRng {
         self.root.fork_labeled(label)
     }
 
-    /// Offer a segment to `path` at `now`, heading to the client or server.
-    pub fn send(&mut self, now: SimTime, to_client: bool, path: u8, seg: Segment) {
+    /// Offer one frame to `path` at `now`: the pass/loss gate, then the
+    /// duplication gate, then one jitter draw per copy. `arrive` is called
+    /// with each surviving copy's arrival instant; returns the number of
+    /// copies (0 when the frame was shaped away).
+    pub fn shape(&mut self, now: SimTime, path: u8, mut arrive: impl FnMut(SimTime)) -> u32 {
         let p = &mut self.paths[path as usize];
         if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
-            return;
+            return 0;
         }
         let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
             2
@@ -136,197 +143,80 @@ impl ChaosNet {
             1
         };
         for _ in 0..copies {
-            let p = &self.paths[path as usize];
             let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.queue.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (to_client, path, seg),
-            );
+            arrive(now + p.base_delay + p.extra_delay + jitter);
+        }
+        copies
+    }
+}
+
+/// A multi-path lossy, jittery, duplicating network between endpoint 0
+/// (the client) and endpoint 1 (the server).
+#[derive(Debug)]
+pub struct ChaosNet {
+    /// `(to_endpoint, path, segment)` keyed by arrival time.
+    queue: EventQueue<(usize, u8, Segment)>,
+    /// The shaping draw and the paths it shapes.
+    pub shaper: Shaper,
+}
+
+impl ChaosNet {
+    /// A network over the given paths, seeded deterministically.
+    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> ChaosNet {
+        ChaosNet {
+            queue: EventQueue::new(),
+            shaper: Shaper::new(seed, paths),
         }
     }
+}
 
-    /// When the next packet lands, if any is in flight.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+impl Transport for ChaosNet {
+    fn endpoints(&self) -> usize {
+        2
+    }
+
+    fn send(&mut self, now: SimTime, from: usize, path: u8, seg: &Segment) {
+        debug_assert!(from < 2, "chaos endpoints are 0 and 1");
+        let queue = &mut self.queue;
+        self.shaper.shape(now, path, |at| {
+            queue.schedule(at, (1 - from, path, *seg));
+        });
+    }
+
+    fn poll_recv(&mut self, now: SimTime) -> Option<(usize, u8, Segment)> {
+        if self.queue.peek_time()? > now {
+            return None;
+        }
+        self.queue.pop().map(|(_, frame)| frame)
+    }
+
+    fn next_wakeup(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
-    /// The next in-flight packet: `(arrival, (to_client, path, segment))`.
-    pub fn pop(&mut self) -> Option<(SimTime, (bool, u8, Segment))> {
-        self.queue.pop()
+    fn paths_mut(&mut self) -> &mut [ChaosPath] {
+        &mut self.shaper.paths
     }
 }
 
 /// A complete two-host MPTCP rig over a [`ChaosNet`]: one subflow per
-/// path (path 0 is WiFi, later paths cellular), an optional attached
-/// [`FaultInjector`], and the event-loop pump shared by every chaos and
-/// fault test.
-pub struct MpChaosRig {
-    /// The network between the two connections.
-    pub net: ChaosNet,
-    /// The data receiver.
-    pub client: MpConnection,
-    /// The data sender.
-    pub server: MpConnection,
-    /// The attached fault injector, if any.
-    pub injector: Option<FaultInjector>,
-    /// Deliver link-layer up/down notifications to both stacks on
-    /// [`FaultSurface::set_iface_up`] (a real de-association is visible to
-    /// the kernel). Disable to force detection through RTOs alone.
-    pub notify_link_down: bool,
-    /// Absolute simulation cut-off for [`MpChaosRig::run`].
-    pub wall_limit: SimTime,
-}
+/// path (path 0 is WiFi, later paths cellular), settled by the reactor
+/// loop on a virtual clock. Attach a plan with
+/// [`Reactor::attach_faults`], run a transfer with [`Reactor::run`].
+pub type MpChaosRig = Reactor<ChaosNet>;
 
 impl MpChaosRig {
     /// A rig with one subflow per path on both ends.
-    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> MpChaosRig {
-        let mut client = MpConnection::new(Role::Client, TcpConfig::default());
-        let mut server = MpConnection::new(Role::Server, TcpConfig::default());
-        for idx in 0..paths.len() {
-            let iface = if idx == 0 {
-                IfaceKind::Wifi
-            } else {
-                IfaceKind::CellularLte
-            };
-            client.add_subflow(SimTime::ZERO, iface);
-            server.add_subflow(SimTime::ZERO, iface);
-        }
-        MpChaosRig {
-            net: ChaosNet::new(seed, paths),
-            client,
-            server,
-            injector: None,
-            notify_link_down: true,
-            wall_limit: SimTime::from_secs(900),
-        }
-    }
-
-    /// Attach a fault plan to replay during [`MpChaosRig::run`].
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
-        self.injector = Some(FaultInjector::new(plan));
-    }
-
-    /// Drain one side's pending transmissions into the network.
-    pub fn transmit(&mut self, now: SimTime, from_client: bool) {
-        loop {
-            let emission = if from_client {
-                self.client.poll_transmit(now)
-            } else {
-                self.server.poll_transmit(now)
-            };
-            let Some((sf, seg)) = emission else { break };
-            self.net.send(now, !from_client, sf.0, seg);
-        }
-    }
-
-    fn poll_faults(&mut self, now: SimTime) {
-        if let Some(mut inj) = self.injector.take() {
-            inj.poll(now, self);
-            self.injector = Some(inj);
-        }
-    }
-
-    /// Run until the client has `total` bytes, progress stops, or the wall
-    /// limit is hit; returns the bytes delivered.
-    pub fn run(&mut self, total: u64) -> u64 {
-        self.server.write(total);
-        self.poll_faults(SimTime::ZERO);
-        self.transmit(SimTime::ZERO, true);
-        self.transmit(SimTime::ZERO, false);
-        let mut guard = 0u64;
-        loop {
-            guard += 1;
-            if guard > 3_000_000 {
-                break;
-            }
-            let timer = self
-                .client
-                .next_deadline()
-                .into_iter()
-                .chain(self.server.next_deadline())
-                .chain(self.injector.as_ref().and_then(|i| i.next_deadline()))
-                .min();
-            let next_packet = self.net.peek_time();
-            let now = match (next_packet, timer) {
-                (Some(p), Some(t)) => p.min(t),
-                (Some(p), None) => p,
-                (None, Some(t)) => t,
-                (None, None) => break,
-            };
-            if now > self.wall_limit {
-                break;
-            }
-            self.poll_faults(now);
-            if Some(now) == next_packet {
-                let (_, (to_client, path, seg)) = self.net.pop().expect("peeked");
-                if to_client {
-                    self.client.on_segment(now, SubflowId(path), seg);
-                } else {
-                    self.server.on_segment(now, SubflowId(path), seg);
-                }
-            }
-            self.client.on_deadline(now);
-            self.server.on_deadline(now);
-            self.transmit(now, true);
-            self.transmit(now, false);
-            if self.client.bytes_delivered() >= total {
-                break;
-            }
-        }
-        self.client.bytes_delivered()
-    }
-}
-
-impl MpChaosRig {
-    /// Paths a fault target maps onto: a single path for the interface
-    /// targets, every path for the shared core (a congested core hits all
-    /// traffic crossing it). Out-of-range single targets map to nothing.
-    fn target_paths(&self, target: FaultTarget) -> std::ops::Range<usize> {
-        match target.path_index() {
-            Some(idx) if idx < self.net.paths.len() => idx..idx + 1,
-            Some(_) => 0..0,
-            None => 0..self.net.paths.len(),
-        }
-    }
-}
-
-impl FaultSurface for MpChaosRig {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].up = up;
-            if self.notify_link_down {
-                let id = SubflowId(idx as u8);
-                self.client.set_subflow_link_up(now, id, up);
-                self.server.set_subflow_link_up(now, id, up);
-            }
-        }
-    }
-
-    fn set_rate(&mut self, _now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        // Delay-based paths have no serializer: only the rate-zero
-        // blackhole is meaningful here (see the module docs).
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].rate_zero = rate_bps == Some(0);
-        }
-    }
-
-    fn set_loss(&mut self, _now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-        for idx in self.target_paths(target) {
-            let path = &mut self.net.paths[idx];
-            path.loss.set_model(model.unwrap_or(path.nominal_loss));
-        }
-    }
-
-    fn set_extra_delay(&mut self, _now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].extra_delay = extra.unwrap_or(SimDuration::ZERO);
-        }
+    pub fn chaos(seed: u64, paths: Vec<ChaosPath>) -> MpChaosRig {
+        Reactor::pair(ChaosNet::new(seed, paths))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultSurface, FaultTarget};
+    use emptcp_phy::IfaceKind;
 
     fn two_paths() -> Vec<ChaosPath> {
         vec![
@@ -337,7 +227,7 @@ mod tests {
 
     #[test]
     fn clean_network_delivers_exactly() {
-        let mut rig = MpChaosRig::new(1, two_paths());
+        let mut rig = MpChaosRig::chaos(1, two_paths());
         assert_eq!(rig.run(256 << 10), 256 << 10);
     }
 
@@ -347,10 +237,10 @@ mod tests {
         let net_b = ChaosNet::new(77, two_paths());
         // Net B hands out a fault stream before traffic runs; the traffic
         // stream must be unaffected.
-        let mut faults_rng = net_b.fork("faults");
+        let mut faults_rng = net_b.shaper.fork("faults");
         let _ = faults_rng.below(1000);
-        let mut a = net_a.rng.clone();
-        let mut b = net_b.rng.clone();
+        let mut a = net_a.shaper.rng.clone();
+        let mut b = net_b.shaper.rng.clone();
         for _ in 0..64 {
             assert_eq!(a.below(u64::MAX), b.below(u64::MAX));
         }
@@ -358,10 +248,10 @@ mod tests {
 
     #[test]
     fn downed_path_passes_nothing() {
-        let mut rig = MpChaosRig::new(3, two_paths());
+        let mut rig = MpChaosRig::chaos(3, two_paths());
         rig.notify_link_down = false;
         rig.set_iface_up(SimTime::ZERO, FaultTarget::Cellular, false);
         assert_eq!(rig.run(64 << 10), 64 << 10);
-        assert_eq!(rig.client.delivered_by_iface(IfaceKind::CellularLte), 0);
+        assert_eq!(rig.client().delivered_by_iface(IfaceKind::CellularLte), 0);
     }
 }

@@ -83,12 +83,12 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let total = total_kb << 10;
-        let mut rig = MpChaosRig::new(seed, two_paths());
-        let mut fault_rng = rig.net.fork("faults");
+        let mut rig = MpChaosRig::chaos(seed, two_paths());
+        let mut fault_rng = rig.transport.shaper.fork("faults");
         rig.attach_faults(gen_plan(&mut fault_rng));
         let telemetry = Telemetry::builder().invariants(true).build();
-        rig.client.set_telemetry(telemetry.scope(0));
-        rig.server.set_telemetry(telemetry.scope(1));
+        rig.client_mut().set_telemetry(telemetry.scope(0));
+        rig.server_mut().set_telemetry(telemetry.scope(1));
 
         let delivered = rig.run(total);
         prop_assert_eq!(delivered, total, "byte stream gap under faults");
@@ -102,9 +102,9 @@ proptest! {
 /// transfer must complete with recovery visible in the stats.
 #[test]
 fn blackout_of_only_active_subflow_with_backup_completes() {
-    let mut rig = MpChaosRig::new(11, two_paths());
-    rig.client.subflow_mut(SubflowId(1)).backup = true;
-    rig.server.subflow_mut(SubflowId(1)).backup = true;
+    let mut rig = MpChaosRig::chaos(11, two_paths());
+    rig.client_mut().subflow_mut(SubflowId(1)).backup = true;
+    rig.server_mut().subflow_mut(SubflowId(1)).backup = true;
     rig.attach_faults(FaultPlan::new().blackout(
         FaultTarget::Wifi,
         SimTime::from_millis(500),
@@ -114,10 +114,10 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
     assert_eq!(rig.run(total), total);
     // The backup actually carried traffic during the blackout.
     assert!(
-        rig.client.delivered_by_iface(IfaceKind::CellularLte) > 0,
+        rig.client().delivered_by_iface(IfaceKind::CellularLte) > 0,
         "backup never promoted into service"
     );
-    let stats = rig.server.recovery_stats();
+    let stats = rig.server().recovery_stats();
     assert!(stats.link_down_events >= 1, "{stats:?}");
     assert!(stats.backup_promotions >= 1, "{stats:?}");
     assert!(
@@ -131,9 +131,9 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
 /// ack progress once the hole heals.
 #[test]
 fn silent_blackhole_detected_by_rto_threshold() {
-    let mut rig = MpChaosRig::new(17, two_paths());
+    let mut rig = MpChaosRig::chaos(17, two_paths());
     rig.notify_link_down = false;
-    rig.server.set_failure_threshold(2);
+    rig.server_mut().set_failure_threshold(2);
     rig.attach_faults(
         FaultPlan::new()
             .at(
@@ -149,7 +149,7 @@ fn silent_blackhole_detected_by_rto_threshold() {
     );
     let total = 512 << 10;
     assert_eq!(rig.run(total), total);
-    let stats = rig.server.recovery_stats();
+    let stats = rig.server().recovery_stats();
     assert!(stats.subflow_failures >= 1, "{stats:?}");
     assert!(stats.bytes_reinjected > 0, "{stats:?}");
 }
@@ -235,7 +235,7 @@ fn blackout_inside_flap_train_applies_in_cursor_order_and_recovers() {
     // Overlap still folds to nominal, so exact delivery is owed.
     assert!(plan().restores_nominal());
     assert_eq!(plan().recovered_at(), plan().end_time());
-    let mut rig = MpChaosRig::new(29, two_paths());
+    let mut rig = MpChaosRig::chaos(29, two_paths());
     rig.attach_faults(plan());
     let total = 128 << 10;
     assert_eq!(
@@ -276,11 +276,11 @@ fn handover_during_rrc_stall_interleaves_targets_and_delivers() {
     );
     assert_eq!(drain(plan(), ms(100), SimTime::from_secs(4)), applied);
 
-    let mut rig = MpChaosRig::new(31, two_paths());
+    let mut rig = MpChaosRig::chaos(31, two_paths());
     rig.attach_faults(plan());
     let total = 256 << 10;
     assert_eq!(rig.run(total), total, "byte stream gap across the handover");
-    let stats = rig.server.recovery_stats();
+    let stats = rig.server().recovery_stats();
     assert!(stats.link_down_events >= 1, "{stats:?}");
 }
 
@@ -318,7 +318,7 @@ fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
     assert_eq!(surface.applied[2].1, "wifi:up=false");
 
     assert!(plan().restores_nominal());
-    let mut rig = MpChaosRig::new(37, two_paths());
+    let mut rig = MpChaosRig::chaos(37, two_paths());
     rig.attach_faults(plan());
     let total = 96 << 10;
     assert_eq!(
@@ -333,14 +333,14 @@ fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {
-        let mut rig = MpChaosRig::new(23, two_paths());
-        let mut fault_rng = rig.net.fork("faults");
+        let mut rig = MpChaosRig::chaos(23, two_paths());
+        let mut fault_rng = rig.transport.shaper.fork("faults");
         rig.attach_faults(gen_plan(&mut fault_rng));
         let delivered = rig.run(128 << 10);
         (
             delivered,
-            *rig.client.recovery_stats(),
-            *rig.server.recovery_stats(),
+            *rig.client().recovery_stats(),
+            *rig.server().recovery_stats(),
         )
     };
     assert_eq!(run(), run());

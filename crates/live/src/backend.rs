@@ -1,33 +1,30 @@
-//! The two engines behind one protocol core.
+//! The two backends behind one protocol core.
 //!
-//! [`Backend::Sim`] is the existing deterministic engine — the
-//! [`MpChaosRig`] event loop every chaos and fault test already runs —
-//! untouched. [`Backend::Live`] is the [`Reactor`] from this crate on a
-//! virtual clock over the [`DuplexTransport`]: same state machines, but
-//! every segment is encoded to wire bytes, carried through a shaped byte
-//! channel, decoded, and pumped by the readiness/timer loop a real
-//! deployment uses. [`run_script`] drives either backend from one
-//! [`ParityScript`] — the scripted input (path delays and loss, fault
-//! windows, transfer size, seed) that determines every arrival and ACK
-//! timing — and returns the transport-decision log the run produced.
+//! Both backends are the same [`Reactor`] on a virtual clock, hosting the
+//! same connection pair ([`Reactor::pair`]) over the same shaped paths.
+//! [`Backend::Sim`] runs it over a [`ChaosNet`] — exactly the
+//! [`MpChaosRig`](emptcp_faults::MpChaosRig) every chaos and fault test
+//! runs. [`Backend::Live`] runs it over the [`DuplexTransport`], which
+//! sends every segment through the wire codec first. [`run_script`]
+//! drives either backend from one [`ParityScript`] — the scripted input
+//! (path delays and loss, fault windows, transfer size, seed) that
+//! determines every arrival and ACK timing — and returns the
+//! transport-decision log the run produced.
 
-use crate::clock::ClockSource;
-use crate::reactor::{ConnWorker, Reactor, ReactorStats};
 use crate::transport::DuplexTransport;
-use emptcp_faults::{ChaosPath, FaultInjector, FaultPlan, MpChaosRig};
-use emptcp_mptcp::{MpConnection, Role};
+use emptcp_faults::{ChaosNet, ChaosPath, FaultPlan, Reactor, ReactorStats, Transport};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
-use emptcp_tcp::TcpConfig;
 use emptcp_telemetry::{MemorySink, Telemetry, TraceEvent};
 use std::sync::{Arc, Mutex};
 
 /// Which engine drives the stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The deterministic simulator loop ([`MpChaosRig`]).
+    /// The reactor over a [`ChaosNet`]: the chaos rigs' engine.
     Sim,
-    /// The reactor on a virtual clock over the duplex transport.
+    /// The reactor over the [`DuplexTransport`]: the same, plus the wire
+    /// codec round trip.
     Live,
 }
 
@@ -36,7 +33,7 @@ pub enum Backend {
 /// from these fields plus the seeded RNG streams.
 #[derive(Clone, Debug)]
 pub struct ParityScript {
-    /// Seed for the shaping draws (split identically by both backends).
+    /// Seed for the shaping draws.
     pub seed: u64,
     /// Paths: WiFi first, then cellular — loss, one-way delay, jitter.
     pub paths: Vec<ChaosPath>,
@@ -81,25 +78,8 @@ pub struct ScriptOutcome {
     /// transport-decision log (scheduler picks, subflow transitions, cwnd
     /// trajectory, retransmissions, delivered-byte coalescing).
     pub decisions: Vec<(SimTime, TraceEvent)>,
-    /// Reactor stats (live backend only).
-    pub stats: Option<ReactorStats>,
-}
-
-/// Build the connection pair exactly as [`MpChaosRig::new`] does: one
-/// subflow per path, WiFi first, default TCP config.
-fn build_pair(paths: usize) -> (MpConnection, MpConnection) {
-    let mut client = MpConnection::new(Role::Client, TcpConfig::default());
-    let mut server = MpConnection::new(Role::Server, TcpConfig::default());
-    for idx in 0..paths {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        client.add_subflow(SimTime::ZERO, iface);
-        server.add_subflow(SimTime::ZERO, iface);
-    }
-    (client, server)
+    /// Reactor stats.
+    pub stats: ReactorStats,
 }
 
 fn drain_sink(sink: Arc<Mutex<MemorySink>>) -> Vec<(SimTime, TraceEvent)> {
@@ -110,56 +90,32 @@ fn drain_sink(sink: Arc<Mutex<MemorySink>>) -> Vec<(SimTime, TraceEvent)> {
 /// [`MemorySink`]. Client is telemetry conn 0, server conn 1, in both
 /// backends — the logs are directly comparable.
 pub fn run_script(backend: Backend, script: &ParityScript) -> ScriptOutcome {
+    let paths = script.paths.clone();
+    match backend {
+        Backend::Sim => run_on(ChaosNet::new(script.seed, paths), script),
+        Backend::Live => run_on(DuplexTransport::new(script.seed, paths), script),
+    }
+}
+
+fn run_on<T: Transport>(transport: T, script: &ParityScript) -> ScriptOutcome {
     let sink = Arc::new(Mutex::new(MemorySink::new()));
     let telemetry = Telemetry::builder()
         .sink(Box::new(Arc::clone(&sink)))
         .invariants(true)
         .build();
-    match backend {
-        Backend::Sim => {
-            let mut rig = MpChaosRig::new(script.seed, script.paths.clone());
-            rig.client.set_telemetry(telemetry.scope(0));
-            rig.server.set_telemetry(telemetry.scope(1));
-            rig.notify_link_down = script.notify_link_down;
-            rig.wall_limit = script.wall_limit;
-            if !script.faults.is_empty() {
-                rig.attach_faults(script.faults.clone());
-            }
-            let delivered = rig.run(script.total_bytes);
-            ScriptOutcome {
-                delivered,
-                delivered_wifi: rig.client.delivered_by_iface(IfaceKind::Wifi),
-                delivered_cellular: rig.client.delivered_by_iface(IfaceKind::CellularLte),
-                decisions: drain_sink(sink),
-                stats: None,
-            }
-        }
-        Backend::Live => {
-            let (mut client, mut server) = build_pair(script.paths.len());
-            client.set_telemetry(telemetry.scope(0));
-            server.set_telemetry(telemetry.scope(1));
-            server.write(script.total_bytes);
-            let transport = DuplexTransport::new(script.seed, script.paths.clone());
-            let mut reactor = Reactor::new(ClockSource::scripted(), transport);
-            reactor.notify_link_down = script.notify_link_down;
-            reactor.wall_limit = script.wall_limit;
-            if !script.faults.is_empty() {
-                reactor.injector = Some(FaultInjector::new(script.faults.clone()));
-            }
-            // Registration order is settle order: client first, matching
-            // the rig's transmit(client) / transmit(server) sequence.
-            reactor.register(ConnWorker::new(client, 0));
-            reactor.register(ConnWorker::new(server, 1));
-            let total = script.total_bytes;
-            let stats = reactor.run_until(|workers| workers[0].conn.bytes_delivered() >= total);
-            let client = &reactor.workers[0].conn;
-            ScriptOutcome {
-                delivered: client.bytes_delivered(),
-                delivered_wifi: client.delivered_by_iface(IfaceKind::Wifi),
-                delivered_cellular: client.delivered_by_iface(IfaceKind::CellularLte),
-                decisions: drain_sink(sink),
-                stats: Some(stats),
-            }
-        }
+    let mut reactor = Reactor::pair(transport);
+    reactor.client_mut().set_telemetry(telemetry.scope(0));
+    reactor.server_mut().set_telemetry(telemetry.scope(1));
+    reactor.notify_link_down = script.notify_link_down;
+    reactor.wall_limit = script.wall_limit;
+    reactor.attach_faults(script.faults.clone());
+    let delivered = reactor.run(script.total_bytes);
+    let client = reactor.client();
+    ScriptOutcome {
+        delivered,
+        delivered_wifi: client.delivered_by_iface(IfaceKind::Wifi),
+        delivered_cellular: client.delivered_by_iface(IfaceKind::CellularLte),
+        decisions: drain_sink(sink),
+        stats: reactor.stats(),
     }
 }

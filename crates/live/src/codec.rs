@@ -10,9 +10,9 @@
 //! goodput over a real NIC is directly comparable to simulated goodput.
 //!
 //! Every frame the duplex transport carries round-trips through
-//! [`encode_frame`]/[`decode_frame`], so the parity harness certifies the
-//! codec as a side effect: a single mis-encoded field would desynchronize
-//! the two backends' decision logs immediately.
+//! [`encode_frame`]/[`decode_frame`], and that round trip is what the
+//! parity harness certifies: a single mis-encoded field would
+//! desynchronize the two backends' decision logs immediately.
 
 use emptcp_sim::SimTime;
 use emptcp_tcp::segment::MAX_SACK_BLOCKS;

@@ -2,54 +2,43 @@
 //!
 //! Everything below `crates/tcp` and `crates/mptcp` is a pure,
 //! event-driven state machine: segments in, segments out, timers in
-//! between. The simulator is one engine that drives those machines; this
-//! crate is the second. A purpose-built poll-loop [`Reactor`] (the
-//! workspace is offline-vendored, so there is no tokio — the timer wheel
-//! is `crates/sim`'s [`EventQueue`](emptcp_sim::EventQueue) keyed on
-//! monotonic nanoseconds) feeds the *same* [`MpConnection`] cores from
-//! real I/O:
+//! between. One poll-loop [`Reactor`] drives those machines everywhere:
+//! it lives in `emptcp-faults` next to the chaos rigs, where
+//! [`MpChaosRig`](emptcp_faults::MpChaosRig) is that reactor over a
+//! [`ChaosNet`](emptcp_faults::ChaosNet) on a virtual clock. This crate
+//! adds the wire and the wall clock:
 //!
 //! * [`UdpTransport`] — non-blocking `std::net::UdpSocket` encapsulation,
 //!   one socket per path, for cross-process traffic (`simulate serve` /
 //!   `simulate connect`);
-//! * [`DuplexTransport`] — an in-process byte-pair channel carrying the
-//!   same wire frames through the same codec, for hermetic tests and the
-//!   parity harness.
+//! * [`DuplexTransport`] — the rigs' `ChaosNet` behind the wire codec,
+//!   for hermetic tests and the parity harness.
 //!
-//! Both transports shape traffic with [`ChaosPath`]s — the very loss /
-//! delay / blackhole vocabulary the simulator's chaos rigs use — so a
-//! [`FaultPlan`](emptcp_faults::FaultPlan) replays against a live
-//! transfer exactly as it replays against a simulated one.
+//! Both transports shape traffic with the rigs' own
+//! [`Shaper`](emptcp_faults::Shaper) over [`ChaosPath`]s — one shaping
+//! draw in the workspace — so a [`FaultPlan`](emptcp_faults::FaultPlan)
+//! replays against a live transfer exactly as it replays against a
+//! simulated one.
 //!
-//! The headline property is **parity**: [`backend::run_script`] pushes an
-//! identical scripted input (arrivals, ACK timings, fault windows)
-//! through [`Backend::Sim`] (the existing deterministic engine,
-//! [`MpChaosRig`](emptcp_faults::MpChaosRig), untouched) and
-//! [`Backend::Live`] (the reactor on a virtual clock over the duplex
-//! transport), and [`parity::certify`] asserts the transport decisions —
-//! scheduler picks, subflow state transitions, cwnd trajectory,
-//! delivered-byte accounting — match event-for-event. What the live
-//! engine adds on top of the sim (frame codec round trips, readiness
-//! polling, per-connection worker pumping, wall-clock scheduling) is
-//! thereby certified not to perturb protocol behavior.
-//!
-//! [`MpConnection`]: emptcp_mptcp::MpConnection
+//! [`backend::run_script`] pushes one scripted input (arrivals, ACK
+//! timings, fault windows) through [`Backend::Sim`] (the reactor over a
+//! `ChaosNet`) and [`Backend::Live`] (the reactor over the duplex
+//! transport). The loop and the shaper are shared code, so what
+//! [`parity::certify`] checks event-for-event is the one thing the
+//! backends do differently: the [`encode_frame`]/[`decode_frame`] round
+//! trip.
 
 pub mod backend;
-pub mod clock;
 pub mod codec;
 pub mod parity;
-pub mod reactor;
 pub mod session;
 pub mod transport;
 pub mod udp;
 
 pub use backend::{run_script, Backend, ParityScript, ScriptOutcome};
-pub use clock::ClockSource;
 pub use codec::{decode_frame, encode_frame, CodecError};
-pub use emptcp_faults::ChaosPath;
+pub use emptcp_faults::{ChaosPath, ClockSource, ConnWorker, Reactor, ReactorStats, Transport};
 pub use parity::{certify, ParityDiff, ParityReport};
-pub use reactor::{ConnWorker, Reactor, ReactorStats};
 pub use session::{run_connect, run_serve, SessionConfig, TransferReport};
-pub use transport::{DuplexTransport, Transport};
+pub use transport::DuplexTransport;
 pub use udp::UdpTransport;

@@ -9,11 +9,13 @@
 //! total while disagreeing on every decision along the way, and it is
 //! the decisions the simulator's conclusions rest on.
 //!
-//! What must match: the full `(SimTime, TraceEvent)` sequence and the
-//! per-path delivered-byte accounting. What may differ: nothing, under
-//! the virtual clock — wall-clock timestamps only enter in `Wall` mode,
-//! which is exactly why certification runs the live backend on
-//! [`ClockSource::scripted`](crate::clock::ClockSource::scripted).
+//! Both backends run the same reactor loop and the same shaping draw, so
+//! what this certifies is what still differs between them: the live
+//! backend carries every segment through the wire codec. A field the
+//! codec drops or garbles changes a decision, and the diff names the
+//! first one. Certification runs on the virtual clock
+//! ([`ClockSource::scripted`](emptcp_faults::ClockSource::scripted)),
+//! where nothing else may differ.
 
 use crate::backend::{run_script, Backend, ParityScript};
 use emptcp_sim::SimTime;

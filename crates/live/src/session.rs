@@ -4,10 +4,10 @@
 //! pushes `size` bytes), [`run_connect`] the *receiver* (the
 //! `Role::Client` stack that initiates the subflow handshakes — its SYN
 //! retransmissions double as rendezvous retries if the server process is
-//! slower to start). Both sides run the same [`Reactor`] the parity
-//! harness certifies, on a wall clock over [`UdpTransport`] — path *i*
-//! rides local port `port_base + i`, so each subflow is separately
-//! observable with ordinary packet tools.
+//! slower to start). Both sides run the same [`Reactor`] the chaos rigs
+//! and the parity harness run, on a wall clock over [`UdpTransport`] —
+//! path *i* rides local port `port_base + i`, so each subflow is
+//! separately observable with ordinary packet tools.
 //!
 //! Telemetry flows through the ordinary [`TraceSink`] machinery: pass a
 //! trace path and every transport decision lands in the same JSONL format
@@ -16,14 +16,12 @@
 //!
 //! [`TraceSink`]: emptcp_telemetry::TraceSink
 
-use crate::clock::ClockSource;
-use crate::reactor::{ConnWorker, Reactor, ReactorStats};
 use crate::udp::UdpTransport;
-use emptcp_faults::{ChaosPath, FaultInjector, FaultPlan};
+use emptcp_faults::{mp_connection, ChaosPath, ClockSource, ConnWorker, FaultPlan};
+use emptcp_faults::{Reactor, ReactorStats};
 use emptcp_mptcp::{MpConnection, Role};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
-use emptcp_tcp::TcpConfig;
 use emptcp_telemetry::{JsonlSink, Telemetry, TraceSink};
 use std::fs::File;
 use std::io;
@@ -109,9 +107,7 @@ fn reactor_for(
 ) -> Reactor<UdpTransport> {
     let mut reactor = Reactor::new(ClockSource::wall(), transport);
     reactor.wall_limit = cfg.wall_limit;
-    if !cfg.faults.is_empty() {
-        reactor.injector = Some(FaultInjector::new(cfg.faults.clone()));
-    }
+    reactor.attach_faults(cfg.faults.clone());
     reactor.register(ConnWorker::new(conn, 0));
     reactor
 }
@@ -198,15 +194,7 @@ fn report(
 /// the client's handshakes, push `cfg.size` bytes, finish when every byte
 /// is cumulatively ACKed.
 pub fn run_serve(cfg: &SessionConfig) -> io::Result<TransferReport> {
-    let mut conn = MpConnection::new(Role::Server, TcpConfig::default());
-    for (idx, _) in cfg.paths.iter().enumerate() {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        conn.add_subflow(SimTime::ZERO, iface);
-    }
+    let mut conn = mp_connection(Role::Server, cfg.paths.len());
     let sink = attach_trace(cfg, &mut conn)?;
     conn.write(cfg.size);
     let transport = UdpTransport::bind(cfg.port_base, cfg.paths.clone(), cfg.seed)?;
@@ -230,15 +218,7 @@ pub fn run_connect(cfg: &SessionConfig) -> io::Result<TransferReport> {
     let peer = cfg.peer.ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "connect needs a peer address")
     })?;
-    let mut conn = MpConnection::new(Role::Client, TcpConfig::default());
-    for (idx, _) in cfg.paths.iter().enumerate() {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        conn.add_subflow(SimTime::ZERO, iface);
-    }
+    let mut conn = mp_connection(Role::Client, cfg.paths.len());
     let sink = attach_trace(cfg, &mut conn)?;
     let mut transport = UdpTransport::bind(cfg.port_base, cfg.paths.clone(), cfg.seed)?;
     for i in 0..cfg.paths.len() {

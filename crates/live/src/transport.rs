@@ -1,99 +1,31 @@
-//! Transports: how encoded frames move between endpoints.
+//! The in-process transport: a [`ChaosNet`] behind the wire codec.
 //!
-//! A [`Transport`] carries wire frames (see [`crate::codec`]) between the
-//! reactor's endpoints over a set of shaped paths. The shaping state is
-//! [`ChaosPath`] — the simulator's own loss/delay/blackhole vocabulary —
-//! so a [`FaultPlan`](emptcp_faults::FaultPlan) applies to a live
-//! transfer through exactly the machinery it applies to a simulated one.
-//!
-//! [`DuplexTransport`] is the hermetic, in-process flavor: a paired byte
-//! channel whose delivery queue is the sim's
-//! [`EventQueue`](emptcp_sim::EventQueue). Its shaping draws are
-//! *call-for-call identical* to [`ChaosNet`](emptcp_faults::ChaosNet)'s
-//! (same seed split, same draw order: loss, duplication, per-copy
-//! jitter), which is a load-bearing property — it is what lets the parity
-//! harness demand event-for-event equality between the two backends
-//! rather than merely statistical agreement.
+//! The [`Transport`] trait, the settle loop and the shaping draw live in
+//! `emptcp-faults`, next to the chaos rigs that share them.
+//! [`DuplexTransport`] adds exactly one thing to the rigs' [`ChaosNet`]:
+//! every segment is encoded to a wire frame and decoded again before it
+//! enters the shaped paths, so what crosses is what a peer would decode.
+//! That round trip is all that separates the two backends of the parity
+//! harness, and so all that [`certify`](crate::certify) checks.
 
 use crate::codec::{decode_frame, encode_frame};
-use emptcp_faults::ChaosPath;
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_faults::{ChaosNet, ChaosPath, Transport};
+use emptcp_sim::SimTime;
 use emptcp_tcp::Segment;
 
-/// Frame movement between reactor endpoints over shaped paths.
-pub trait Transport {
-    /// Number of endpoints this transport connects locally (a duplex pair
-    /// hosts both ends; a UDP transport hosts one, the peer being another
-    /// process).
-    fn endpoints(&self) -> usize;
-
-    /// Offer `seg` from endpoint `from` onto `path`. The transport
-    /// encodes, shapes (loss / delay / blackhole) and queues or emits the
-    /// frame; a shaped-away frame disappears silently, exactly like a
-    /// lost datagram.
-    fn send(&mut self, now: SimTime, from: usize, path: u8, seg: &Segment);
-
-    /// At most one frame deliverable at `now`: `(endpoint, path,
-    /// segment)`. One frame per call by design — the reactor settles all
-    /// connections between arrivals, matching the simulator's
-    /// one-packet-per-iteration drain discipline.
-    fn poll_recv(&mut self, now: SimTime) -> Option<(usize, u8, Segment)>;
-
-    /// Earliest instant at which the transport knows it will have work
-    /// (in-flight frame arrival or a delayed egress flush). `None` for
-    /// transports that cannot know (real sockets). Takes `&mut self`
-    /// because the timing wheel settles its cursor on peek.
-    fn next_wakeup(&mut self) -> Option<SimTime>;
-
-    /// The shaped paths, for fault application.
-    fn paths_mut(&mut self) -> &mut [ChaosPath];
-}
-
-/// In-process duplex byte pair: endpoint 0 and endpoint 1, connected by
-/// shaped paths, frames carried through the real codec.
+/// In-process duplex pair: endpoint 0 and endpoint 1, connected by shaped
+/// paths, frames carried through the real codec.
 pub struct DuplexTransport {
-    /// `(to_endpoint, path, frame)` keyed by arrival time.
-    queue: EventQueue<(usize, u8, Vec<u8>)>,
-    /// The seed RNG; only forked by label, never drawn from (mirrors
-    /// [`ChaosNet`](emptcp_faults::ChaosNet)'s stream discipline).
-    root: SimRng,
-    /// The `"traffic"` stream: loss, duplication and jitter draws.
-    rng: SimRng,
-    paths: Vec<ChaosPath>,
-    /// Frames accepted onto a path (post-shaping copies included).
-    pub frames_queued: u64,
-    /// Frames shaped away (loss draw or downed path).
-    pub frames_dropped: u64,
-    /// Bytes of frame payload carried end to end.
-    pub bytes_carried: u64,
+    net: ChaosNet,
 }
 
 impl DuplexTransport {
-    /// A duplex pair over `paths`, seeded exactly like a
-    /// [`ChaosNet`](emptcp_faults::ChaosNet) with the same seed — the
-    /// parity contract depends on the identical fork labels.
+    /// A duplex pair over `paths`, shaped exactly like a [`ChaosNet`]
+    /// with the same seed.
     pub fn new(seed: u64, paths: Vec<ChaosPath>) -> DuplexTransport {
-        let root = SimRng::new(seed);
-        let rng = root.fork_labeled("traffic");
         DuplexTransport {
-            queue: EventQueue::new(),
-            root,
-            rng,
-            paths,
-            frames_queued: 0,
-            frames_dropped: 0,
-            bytes_carried: 0,
+            net: ChaosNet::new(seed, paths),
         }
-    }
-
-    /// An independent RNG stream derived from the transport seed.
-    pub fn fork(&self, label: &str) -> SimRng {
-        self.root.fork_labeled(label)
-    }
-
-    /// Frames currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -103,57 +35,29 @@ impl Transport for DuplexTransport {
     }
 
     fn send(&mut self, now: SimTime, from: usize, path: u8, seg: &Segment) {
-        debug_assert!(from < 2, "duplex endpoints are 0 and 1");
-        let to = 1 - from;
-        // Draw order mirrors ChaosNet::send exactly: pass/loss gate,
-        // duplication gate, then one jitter draw per accepted copy.
-        let p = &mut self.paths[path as usize];
-        if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
-            self.frames_dropped += 1;
-            return;
-        }
-        let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
-            2
-        } else {
-            1
-        };
-        let frame = encode_frame(path, seg);
-        for _ in 0..copies {
-            let p = &self.paths[path as usize];
-            let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.queue.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (to, path, frame.clone()),
-            );
-            self.frames_queued += 1;
-        }
+        // A duplex channel is a private interface: a frame that fails to
+        // decode is a codec bug, not peer hostility.
+        let (path, seg) = decode_frame(&encode_frame(path, seg)).expect("duplex frame decodes");
+        self.net.send(now, from, path, &seg);
     }
 
     fn poll_recv(&mut self, now: SimTime) -> Option<(usize, u8, Segment)> {
-        if self.queue.peek_time()? > now {
-            return None;
-        }
-        let (_, (to, path, frame)) = self.queue.pop().expect("peeked");
-        self.bytes_carried += frame.len() as u64;
-        // A duplex channel is a private interface: a frame that fails to
-        // decode is a codec bug, not peer hostility.
-        let (decoded_path, seg) = decode_frame(&frame).expect("duplex frame decodes");
-        debug_assert_eq!(decoded_path, path);
-        Some((to, path, seg))
+        self.net.poll_recv(now)
     }
 
     fn next_wakeup(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.net.next_wakeup()
     }
 
     fn paths_mut(&mut self) -> &mut [ChaosPath] {
-        &mut self.paths
+        self.net.paths_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     fn paths() -> Vec<ChaosPath> {
         vec![
@@ -179,20 +83,6 @@ mod tests {
         let mut t = DuplexTransport::new(7, paths());
         t.paths_mut()[0].set_up(false);
         t.send(SimTime::ZERO, 1, 0, &Segment::empty(SimTime::ZERO));
-        assert_eq!(t.in_flight(), 0);
-        assert_eq!(t.frames_dropped, 1);
-    }
-
-    #[test]
-    fn traffic_stream_matches_chaos_net_discipline() {
-        // Same seed ⇒ the duplex traffic stream is the same RNG sequence
-        // a ChaosNet derives (root seed split by the "traffic" label).
-        // This is the parity linchpin: shaping draws line up draw-for-draw.
-        let t = DuplexTransport::new(1234, paths());
-        let mut a = t.rng.clone();
-        let mut b = SimRng::new(1234).fork_labeled("traffic");
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
+        assert_eq!(t.next_wakeup(), None);
     }
 }

@@ -6,22 +6,21 @@
 //! netem, or a real bottleneck. Frames are the same codec frames the
 //! duplex transport carries, padded to the modeled wire size.
 //!
-//! Shaping happens **sender-side**: the loss/dup/jitter draws and the
-//! base-delay holdback run against the same [`ChaosPath`] vocabulary the
-//! simulator uses, with delayed egress parked in an
-//! [`EventQueue`](emptcp_sim::EventQueue) until the wall clock passes the
-//! departure instant. A `FaultPlan` therefore shapes a live localhost
-//! transfer through exactly the machinery that shapes a simulated one.
+//! Shaping happens **sender-side**: the chaos rigs' [`Shaper`] makes the
+//! loss/dup/jitter draw, and delayed egress is parked in an
+//! [`EventQueue`] until the wall clock passes the departure instant. A
+//! `FaultPlan` therefore shapes a live localhost transfer through exactly
+//! the machinery that shapes a simulated one.
 //!
 //! Peers are preset (client) or learned from the source address of the
 //! first datagram per path (server) — the usual UDP rendezvous. Malformed
-//! datagrams are counted and skipped, never panicked on: a socket is a
-//! public interface.
+//! datagrams, and frames naming a path other than the socket they arrived
+//! on, are counted and skipped, never panicked on: a socket is a public
+//! interface.
 
 use crate::codec::{decode_frame, encode_frame};
-use crate::transport::Transport;
-use emptcp_faults::ChaosPath;
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_faults::{ChaosPath, Shaper, Transport};
+use emptcp_sim::{EventQueue, SimTime};
 use emptcp_tcp::Segment;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -39,8 +38,7 @@ pub struct UdpTransport {
     peers: Vec<Option<SocketAddr>>,
     /// Shaped-egress holdback: `(path, frame)` keyed by departure time.
     egress: EventQueue<(u8, Vec<u8>)>,
-    paths: Vec<ChaosPath>,
-    rng: SimRng,
+    shaper: Shaper,
     /// Round-robin receive cursor so one busy path cannot starve another.
     rr: usize,
     /// Datagrams sent on the wire (post-shaping).
@@ -49,7 +47,8 @@ pub struct UdpTransport {
     pub datagrams_received: u64,
     /// Frames shaped away before the wire (loss draw or downed path).
     pub frames_shaped_away: u64,
-    /// Arrivals that failed to decode (skipped, never fatal).
+    /// Arrivals that failed to decode or named another socket's path
+    /// (skipped, never fatal).
     pub malformed: u64,
     /// Egress frames dropped because no peer was known yet.
     pub unroutable: u64,
@@ -70,8 +69,7 @@ impl UdpTransport {
             sockets,
             peers,
             egress: EventQueue::new(),
-            paths,
-            rng: SimRng::new(seed).fork_labeled("traffic"),
+            shaper: Shaper::new(seed, paths),
             rr: 0,
             datagrams_sent: 0,
             datagrams_received: 0,
@@ -119,24 +117,12 @@ impl Transport for UdpTransport {
     }
 
     fn send(&mut self, now: SimTime, _from: usize, path: u8, seg: &Segment) {
-        let p = &mut self.paths[path as usize];
-        if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
+        let egress = &mut self.egress;
+        let copies = self.shaper.shape(now, path, |at| {
+            egress.schedule(at, (path, encode_frame(path, seg)));
+        });
+        if copies == 0 {
             self.frames_shaped_away += 1;
-            return;
-        }
-        let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
-            2
-        } else {
-            1
-        };
-        let frame = encode_frame(path, seg);
-        for _ in 0..copies {
-            let p = &self.paths[path as usize];
-            let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.egress.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (path, frame.clone()),
-            );
         }
         self.flush_egress(now);
     }
@@ -155,11 +141,11 @@ impl Transport for UdpTransport {
                         self.peers[idx] = Some(from);
                     }
                     match decode_frame(&buf[..n]) {
-                        Ok((path, seg)) => {
+                        Ok((path, seg)) if path as usize == idx => {
                             self.datagrams_received += 1;
                             return Some((0, path, seg));
                         }
-                        Err(_) => {
+                        _ => {
                             self.malformed += 1;
                             continue;
                         }
@@ -182,13 +168,14 @@ impl Transport for UdpTransport {
     }
 
     fn paths_mut(&mut self) -> &mut [ChaosPath] {
-        &mut self.paths
+        &mut self.shaper.paths
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     fn two_paths() -> Vec<ChaosPath> {
         vec![
@@ -231,6 +218,17 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(t.poll_recv(SimTime::ZERO).is_none());
         assert_eq!(t.malformed, 1);
+    }
+
+    #[test]
+    fn frames_naming_another_path_are_skipped() {
+        let mut t = UdpTransport::bind(46240, two_paths(), 5).expect("bind");
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        let frame = encode_frame(7, &Segment::empty(SimTime::ZERO));
+        raw.send_to(&frame, "127.0.0.1:46240").expect("send");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(t.poll_recv(SimTime::ZERO).is_none());
+        assert_eq!((t.malformed, t.datagrams_received), (1, 0));
     }
 
     #[test]

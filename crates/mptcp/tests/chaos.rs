@@ -10,7 +10,7 @@ use emptcp_sim::SimDuration;
 use proptest::prelude::*;
 
 fn rig(seed: u64, loss0: f64, loss1: f64, jitter_ms: u64) -> MpChaosRig {
-    MpChaosRig::new(
+    MpChaosRig::chaos(
         seed,
         vec![
             ChaosPath::new(loss0, SimDuration::from_millis(12), jitter_ms),
@@ -54,12 +54,12 @@ fn heavily_asymmetric_loss() {
 #[test]
 fn backup_subflow_with_loss() {
     let mut r = rig(9, 0.05, 0.05, 10);
-    r.client.subflow_mut(SubflowId(1)).backup = true;
-    r.server.subflow_mut(SubflowId(1)).backup = true;
+    r.client_mut().subflow_mut(SubflowId(1)).backup = true;
+    r.server_mut().subflow_mut(SubflowId(1)).backup = true;
     let total = 64 << 10;
     assert_eq!(r.run(total), total);
     // Backup never carried data (subflow 0 stayed alive throughout).
-    assert_eq!(r.client.delivered_by_iface(IfaceKind::CellularLte), 0);
+    assert_eq!(r.client().delivered_by_iface(IfaceKind::CellularLte), 0);
 }
 
 /// The shared-bottleneck library scenario: `congested_core` collapses
@@ -72,7 +72,7 @@ fn congested_core_scenario_recovers_with_stats() {
     // Long-ish RTTs keep a large transfer in flight through the scenario's
     // 5 s collapse window (the rig is delay-based, so throughput is
     // window-limited rather than rate-limited).
-    let mut r = MpChaosRig::new(
+    let mut r = MpChaosRig::chaos(
         41,
         vec![
             ChaosPath::new(0.0, SimDuration::from_millis(100), 2),
@@ -81,14 +81,14 @@ fn congested_core_scenario_recovers_with_stats() {
     );
     // The collapse is silent; detection must come from RTOs alone.
     r.notify_link_down = false;
-    r.server.set_failure_threshold(2);
+    r.server_mut().set_failure_threshold(2);
     r.attach_faults(emptcp_faults::scenarios::plan("congested_core").expect("library scenario"));
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
     // far inside the wall limit.
     let total = 8 << 20;
     assert_eq!(r.run(total), total);
-    let stats = r.server.recovery_stats();
+    let stats = r.server().recovery_stats();
     assert!(stats.subflow_failures >= 1, "{stats:?}");
     assert!(stats.revivals >= 1, "{stats:?}");
     assert!(

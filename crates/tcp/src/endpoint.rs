@@ -628,10 +628,15 @@ impl TcpEndpoint {
         self.inflight.get(&0).map(|s| s.ts)
     }
 
-    /// Mark inflight segments covered by the ACK's SACK blocks.
+    /// Mark inflight segments covered by the ACK's SACK blocks. Blocks
+    /// come from the peer: an empty or inverted one is skipped rather
+    /// than trusted.
     fn apply_sack(&mut self, seg: &Segment) {
         for block in seg.sack.iter().flatten() {
             let (start, end) = *block;
+            if start >= end {
+                continue;
+            }
             self.high_sacked = self.high_sacked.max(end);
             let to_mark: Vec<u64> = self
                 .inflight
@@ -1293,6 +1298,23 @@ mod tests {
         }
         assert_eq!(delivered, 20_000);
         assert!(s.retransmissions() >= 1);
+    }
+
+    #[test]
+    fn inverted_sack_block_is_ignored() {
+        let mut now = SimTime::ZERO;
+        let half = SimDuration::from_millis(5);
+        let mut c = TcpEndpoint::client(TcpConfig::default());
+        let mut s = TcpEndpoint::listener(TcpConfig::default());
+        handshake(&mut now, &mut c, &mut s);
+        s.write(5 * 1428);
+        pump(&mut now, half, &mut s, &mut c);
+        let mut ack = c.poll_transmit(now).expect("client acks the data");
+        ack.sack[0] = Some((50_000, 10));
+        now += half;
+        s.on_segment(now, ack);
+        assert_eq!(s.high_sacked, 0, "an inverted block raised high_sacked");
+        assert_eq!(s.sacked_bytes, 0);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `emptcp-faults::testnet` (one path, duplication enabled).
 
 use emptcp_faults::testnet::{ChaosNet, ChaosPath};
+use emptcp_faults::Transport;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::{TcpConfig, TcpEndpoint};
 use proptest::prelude::*;
@@ -18,12 +19,13 @@ fn run_chaos(total: u64, loss: f64, dup: f64, jitter_ms: u64, seed: u64) -> (u64
     client.connect(SimTime::ZERO);
     server.write(total);
 
+    // Endpoint 0 is the client, endpoint 1 the server.
     let drain = |now: SimTime, c: &mut TcpEndpoint, s: &mut TcpEndpoint, net: &mut ChaosNet| {
         while let Some(seg) = c.poll_transmit(now) {
-            net.send(now, false, 0, seg);
+            net.send(now, 0, 0, &seg);
         }
         while let Some(seg) = s.poll_transmit(now) {
-            net.send(now, true, 0, seg);
+            net.send(now, 1, 0, &seg);
         }
     };
     drain(SimTime::ZERO, &mut client, &mut server, &mut net);
@@ -40,7 +42,7 @@ fn run_chaos(total: u64, loss: f64, dup: f64, jitter_ms: u64, seed: u64) -> (u64
             .into_iter()
             .chain(server.next_deadline())
             .min();
-        let next_packet = net.peek_time();
+        let next_packet = net.next_wakeup();
         let now = match (next_packet, timer) {
             (Some(p), Some(t)) => p.min(t),
             (Some(p), None) => p,
@@ -50,9 +52,8 @@ fn run_chaos(total: u64, loss: f64, dup: f64, jitter_ms: u64, seed: u64) -> (u64
         if now > SimTime::from_secs(600) {
             break;
         }
-        if Some(now) == next_packet {
-            let (_, (to_client, _, seg)) = net.pop().expect("peeked");
-            if to_client {
+        if let Some((to, _, seg)) = net.poll_recv(now) {
+            if to == 0 {
                 client.on_segment(now, seg);
             } else {
                 server.on_segment(now, seg);
