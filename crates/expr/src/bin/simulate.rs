@@ -26,7 +26,6 @@
 
 use emptcp_expr::scenario::{Scenario, Workload};
 use emptcp_expr::{faults, host, Strategy};
-use emptcp_faults::scenarios;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
 
@@ -68,10 +67,11 @@ fn faults_usage() -> ! {
     eprintln!(
         "usage: simulate faults [options]
   --scenario NAME      run one named fault scenario
-  --all                run every scenario in the library
+  --all                run every scenario in the library (every host
+                       corpus scenario with a fault script)
   --check              exit non-zero unless every report passes the
                        resilience expectations (CI gate)
-  --seed N             simulation seed                     (default 42)
+  --seed N             override each scenario file's own seed
   --json               print each report as JSON
   --trace PATH         write the faulted run's JSONL event trace
                        (single-scenario mode only)
@@ -322,7 +322,7 @@ fn faults_main(args: Vec<String>) -> ! {
     let mut scenario: Option<String> = None;
     let mut all = false;
     let mut do_check = false;
-    let mut seed = 42u64;
+    let mut seed: Option<u64> = None;
     let mut json = false;
     let mut trace_path: Option<String> = None;
     let mut quiet = false;
@@ -339,13 +339,13 @@ fn faults_main(args: Vec<String>) -> ! {
             "--scenario" => scenario = Some(value("--scenario")),
             "--all" => all = true,
             "--check" => do_check = true,
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| faults_usage()),
+            "--seed" => seed = Some(value("--seed").parse().unwrap_or_else(|_| faults_usage())),
             "--json" => json = true,
             "--trace" => trace_path = Some(value("--trace")),
             "--quiet" => quiet = true,
             "--list" => {
-                for spec in scenarios::all() {
-                    println!("{:<18} {}", spec.name, spec.summary);
+                for sc in faults::library() {
+                    println!("{:<28} {}", sc.name, sc.summary);
                 }
                 std::process::exit(0);
             }
@@ -360,11 +360,11 @@ fn faults_main(args: Vec<String>) -> ! {
         log::set_level(log::Level::Quiet);
     }
 
-    let names: Vec<&str> = if all {
-        scenarios::NAMES.to_vec()
+    let names: Vec<String> = if all {
+        faults::library().into_iter().map(|sc| sc.name).collect()
     } else {
-        match &scenario {
-            Some(name) => vec![name.as_str()],
+        match scenario {
+            Some(name) => vec![name],
             None => faults_usage(),
         }
     };

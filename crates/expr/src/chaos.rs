@@ -79,7 +79,7 @@ impl ChaosReport {
     }
 }
 
-fn strategy_of(kind: StrategyKind) -> Strategy {
+pub(crate) fn strategy_of(kind: StrategyKind) -> Strategy {
     match kind {
         StrategyKind::Mptcp => Strategy::Mptcp,
         StrategyKind::Emptcp => Strategy::emptcp_default(),
@@ -116,10 +116,17 @@ pub fn run_scenario(sc: &Scenario, sabotage: Option<&str>) -> Result<ChaosReport
     }
 }
 
-fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosReport {
-    let plan = sc.fault_plan();
+/// Bind a host world to the host simulation: a static-WiFi download of
+/// `transfer_bytes` over the spec's rates and RTTs, on its device, under
+/// its strategy. Every runner of a host `.scenario` builds through here.
+pub(crate) fn host_simulation(
+    name: &str,
+    host: &HostSpec,
+    seed: u64,
+    telemetry: Telemetry,
+) -> Simulation {
     let mut xs = ExprScenario::wild(
-        &format!("chaos/{}", sc.name),
+        name,
         host.wifi_bps,
         host.cell_bps,
         SimDuration::from_millis(host.wifi_rtt_ms),
@@ -127,9 +134,18 @@ fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosRep
         host.transfer_bytes,
     );
     xs.profile = host.device.profile();
+    Simulation::new_with_telemetry(xs, strategy_of(host.strategy), seed, telemetry)
+}
+
+fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosReport {
+    let plan = sc.fault_plan();
     let telemetry = Telemetry::builder().invariants(true).build();
-    let mut sim =
-        Simulation::new_with_telemetry(xs, strategy_of(host.strategy), sc.seed, telemetry.clone());
+    let mut sim = host_simulation(
+        &format!("chaos/{}", sc.name),
+        host,
+        sc.seed,
+        telemetry.clone(),
+    );
     if !plan.is_empty() {
         sim.attach_faults(plan.clone());
     }

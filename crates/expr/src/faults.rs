@@ -1,56 +1,43 @@
 //! Fault scenarios bound to the full host simulation.
 //!
-//! The `emptcp-faults` crate defines *what* goes wrong (named, scripted
-//! [`FaultPlan`]s); this module defines *how it is measured*: each named
-//! scenario is run twice with the same seed — once fault-free as the
-//! baseline, once with the plan attached — and the two runs are folded
-//! into a [`ResilienceReport`]: goodput retained, recovery latency, bytes
-//! reinjected, and the energy cost of surviving the fault. The online
-//! invariant observer rides along on the faulted run, so a report also
-//! certifies that the byte stream survived intact.
-//!
-//! [`FaultPlan`]: emptcp_faults::FaultPlan
+//! The `.scenario` corpus defines *what* goes wrong: every host-world
+//! corpus file with a non-empty fault script is a fault run, and its world
+//! (rates, RTTs, device, strategy, transfer size), seed, script and
+//! summary all come from that file. This module defines *how it is
+//! measured*: each scenario is run twice with the same seed — once
+//! fault-free as the baseline, once with the plan attached — and the two
+//! runs are folded into a [`ResilienceReport`]: goodput retained, recovery
+//! latency, bytes reinjected, and the energy cost of surviving the fault.
+//! The online invariant observer rides along on the faulted run, so a
+//! report also certifies that the byte stream survived intact.
 
-use crate::host::Simulation;
-use crate::scenario::{Scenario, Workload};
-use crate::strategy::Strategy;
-use emptcp_faults::scenarios;
+use crate::chaos::{host_simulation, strategy_of};
+use emptcp_scenario::{corpus, HostSpec, Scenario, World};
 use emptcp_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
-/// Download size every fault run moves: large enough that every scenario's
-/// fault window lands mid-transfer, small enough for CI.
-pub const TRANSFER_BYTES: u64 = 16 << 20;
-
-/// The strategy a named fault scenario exercises. Cellular-side faults
-/// need a strategy that has a cellular subflow up *before* the fault
-/// hits; WiFi-side faults are most interesting under eMPTCP, whose
-/// controller normally keeps cellular asleep and must wake it to recover.
-pub fn strategy_for(name: &str) -> Strategy {
-    match name {
-        // A congested core hits every path at once, so it also wants both
-        // subflows live before the collapse.
-        "lte-tunnel" | "congested_core" => Strategy::Mptcp,
-        _ => Strategy::emptcp_default(),
+/// The host world of a fault run: `None` for fleet worlds and for
+/// scenarios without a fault script.
+fn fault_world(sc: &Scenario) -> Option<&HostSpec> {
+    match &sc.world {
+        World::Host(host) if !sc.faults.is_empty() => Some(host),
+        _ => None,
     }
 }
 
-/// The environment every fault scenario runs in: good static WiFi and LTE,
-/// so every slowdown and recovery in the report is attributable to the
-/// injected faults rather than to environmental noise.
-pub fn base_scenario(name: &str) -> Scenario {
-    let mut s = Scenario::static_good_wifi();
-    s.name = format!("faults/{name}");
-    s.workload = Workload::Download {
-        size: TRANSFER_BYTES,
-    };
-    s
+/// The fault library: every host-world corpus scenario with a non-empty
+/// fault script, sorted by name.
+pub fn library() -> Vec<Scenario> {
+    corpus::all()
+        .into_iter()
+        .filter(|sc| fault_world(sc).is_some())
+        .collect()
 }
 
 /// Everything the `simulate faults` CLI prints about one scenario.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ResilienceReport {
-    /// Fault scenario name (see [`emptcp_faults::scenarios::all`]).
+    /// Fault scenario name (see [`library`]).
     pub scenario: String,
     /// Strategy label the scenario ran under.
     pub strategy: String,
@@ -93,28 +80,30 @@ pub struct ResilienceReport {
     pub invariant_violations: u64,
 }
 
-/// Run one named scenario with a fresh invariant-checking telemetry
-/// pipeline. Returns `None` for an unknown scenario name.
-pub fn run_scenario(name: &str, seed: u64) -> Option<ResilienceReport> {
+/// Run one library scenario with a fresh invariant-checking telemetry
+/// pipeline. `seed` overrides the scenario file's own seed. Returns `None`
+/// for a name outside the [`library`].
+pub fn run_scenario(name: &str, seed: Option<u64>) -> Option<ResilienceReport> {
     run_scenario_traced(name, seed, Telemetry::builder().invariants(true).build())
 }
 
-/// Run one named scenario with a caller-supplied telemetry pipeline on the
-/// faulted run (the baseline runs uninstrumented so a trace sink sees only
-/// the run the report describes). Invariant violations are read back from
-/// the supplied pipeline.
+/// Run one library scenario with a caller-supplied telemetry pipeline on
+/// the faulted run (the baseline runs uninstrumented so a trace sink sees
+/// only the run the report describes). Invariant violations are read back
+/// from the supplied pipeline.
 pub fn run_scenario_traced(
     name: &str,
-    seed: u64,
+    seed: Option<u64>,
     telemetry: Telemetry,
 ) -> Option<ResilienceReport> {
-    let plan = scenarios::plan(name)?;
-    let strategy = strategy_for(name);
-    let baseline = Simulation::new(base_scenario(name), strategy, seed).run();
+    let sc = corpus::load(name)?;
+    let host = fault_world(&sc)?;
+    let seed = seed.unwrap_or(sc.seed);
+    let label = format!("faults/{name}");
+    let baseline = host_simulation(&label, host, seed, emptcp_telemetry::current()).run();
 
-    let mut sim =
-        Simulation::new_with_telemetry(base_scenario(name), strategy, seed, telemetry.clone());
-    sim.attach_faults(plan);
+    let mut sim = host_simulation(&label, host, seed, telemetry.clone());
+    sim.attach_faults(sc.fault_plan());
     let faulted = sim.run();
     let invariant_violations = telemetry.violations().len() as u64;
 
@@ -123,9 +112,9 @@ pub fn run_scenario_traced(
     let fault_goodput = goodput(faulted.bytes_delivered, faulted.download_time_s);
     Some(ResilienceReport {
         scenario: name.to_string(),
-        strategy: strategy.label().to_string(),
+        strategy: strategy_of(host.strategy).label().to_string(),
         seed,
-        size_bytes: TRANSFER_BYTES,
+        size_bytes: host.transfer_bytes,
         completed: faulted.completed,
         bytes_delivered: faulted.bytes_delivered,
         baseline_time_s: baseline.download_time_s,
@@ -224,15 +213,55 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_none() {
-        assert!(run_scenario("no-such-scenario", 1).is_none());
+        assert!(run_scenario("no-such-scenario", Some(1)).is_none());
+        // A fleet world and a host world without faults are not fault runs.
+        assert!(run_scenario("fleet-contended", Some(1)).is_none());
+        let mut calm = corpus::load("ap-vanish").unwrap();
+        calm.faults.clear();
+        assert!(fault_world(&calm).is_none());
     }
 
     #[test]
-    fn every_scenario_has_a_strategy_and_base() {
-        for spec in scenarios::all() {
-            let s = base_scenario(spec.name);
-            assert_eq!(s.name, format!("faults/{}", spec.name));
-            let _ = strategy_for(spec.name);
+    fn library_is_every_faulted_host_scenario_sorted() {
+        let lib = library();
+        let names: Vec<&str> = lib.iter().map(|sc| sc.name.as_str()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted, "library must list in sorted order");
+        for name in ["ap-vanish", "congested_core", "lte-tunnel"] {
+            assert!(names.contains(&name), "{name} missing from {names:?}");
+        }
+        let expected = corpus::all()
+            .iter()
+            .filter(|sc| sc.world_label() == "host" && !sc.faults.is_empty())
+            .count();
+        assert_eq!(lib.len(), expected);
+        for sc in &lib {
+            assert!(!sc.summary.is_empty(), "{} has no summary", sc.name);
+            assert!(!sc.fault_plan().is_empty(), "{} is empty", sc.name);
+        }
+    }
+
+    #[test]
+    fn library_plans_are_deterministic() {
+        for sc in library() {
+            assert_eq!(
+                sc.fault_plan().into_events(),
+                sc.fault_plan().into_events(),
+                "{} not deterministic",
+                sc.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_library_plan_restores_nominal() {
+        for sc in library() {
+            assert!(
+                sc.fault_plan().restores_nominal(),
+                "{} leaves the network perturbed",
+                sc.name
+            );
         }
     }
 }

@@ -8,7 +8,9 @@
 
 use emptcp_expr::faults::{self, ResilienceReport};
 use emptcp_expr::host::Simulation;
-use emptcp_faults::scenarios;
+use emptcp_expr::scenario::{Scenario, Workload};
+use emptcp_expr::Strategy;
+use emptcp_scenario::{StrategyKind, World};
 use emptcp_telemetry::{MemorySink, Telemetry};
 use std::sync::{Arc, Mutex};
 
@@ -20,14 +22,14 @@ fn traced_run(name: &str, seed: u64) -> (ResilienceReport, String) {
         .sink(Box::new(Arc::clone(&sink)))
         .invariants(true)
         .build();
-    let report = faults::run_scenario_traced(name, seed, telemetry).expect("known scenario");
+    let report = faults::run_scenario_traced(name, Some(seed), telemetry).expect("known scenario");
     let trace = sink.lock().unwrap().to_jsonl();
     (report, trace)
 }
 
 #[test]
 fn ap_vanish_completes_with_zero_gaps() {
-    let report = faults::run_scenario("ap-vanish", 42).expect("known scenario");
+    let report = faults::run_scenario("ap-vanish", Some(42)).expect("known scenario");
     assert!(report.completed, "{report:?}");
     assert_eq!(
         report.bytes_delivered, report.size_bytes,
@@ -42,7 +44,7 @@ fn ap_vanish_completes_with_zero_gaps() {
 
 #[test]
 fn lte_tunnel_reinjects_stranded_data() {
-    let report = faults::run_scenario("lte-tunnel", 42).expect("known scenario");
+    let report = faults::run_scenario("lte-tunnel", Some(42)).expect("known scenario");
     assert!(report.completed, "{report:?}");
     assert_eq!(report.bytes_delivered, report.size_bytes);
     assert!(
@@ -54,14 +56,27 @@ fn lte_tunnel_reinjects_stranded_data() {
 
 #[test]
 fn every_scenario_passes_the_resilience_checks() {
-    for spec in scenarios::all() {
-        let report = faults::run_scenario(spec.name, 42).expect("listed scenario must run");
+    for sc in faults::library() {
+        let report = faults::run_scenario(&sc.name, None).expect("library scenario must run");
         let fails = faults::check(&report);
         assert!(
             fails.is_empty(),
             "{name} failed: {fails:?}\n{report:?}",
-            name = spec.name
+            name = sc.name
         );
+        // The world the report describes is the one in the file.
+        let World::Host(host) = &sc.world else {
+            panic!("{} is not a host world", sc.name);
+        };
+        assert_eq!(report.seed, sc.seed, "{}", sc.name);
+        assert_eq!(report.size_bytes, host.transfer_bytes, "{}", sc.name);
+        let strategy = match host.strategy {
+            StrategyKind::Mptcp => Strategy::Mptcp,
+            StrategyKind::Emptcp => Strategy::emptcp_default(),
+            StrategyKind::WifiFirst => Strategy::WifiFirst,
+            other => panic!("{}: no fault scenario runs {other:?}", sc.name),
+        };
+        assert_eq!(report.strategy, strategy.label(), "{}", sc.name);
     }
 }
 
@@ -84,9 +99,11 @@ fn fault_runs_produce_byte_identical_traces() {
 
 #[test]
 fn attach_faults_with_empty_plan_changes_nothing() {
-    let strategy = faults::strategy_for("ap-vanish");
-    let plain = Simulation::new(faults::base_scenario("noop"), strategy, 5).run();
-    let mut sim = Simulation::new(faults::base_scenario("noop"), strategy, 5);
+    let mut noop = Scenario::static_good_wifi();
+    noop.workload = Workload::Download { size: 16 << 20 };
+    let strategy = Strategy::emptcp_default();
+    let plain = Simulation::new(noop.clone(), strategy, 5).run();
+    let mut sim = Simulation::new(noop, strategy, 5);
     sim.attach_faults(emptcp_faults::FaultPlan::new());
     let armed = sim.run();
     assert_eq!(plain.download_time_s, armed.download_time_s);

@@ -16,10 +16,6 @@
 //! * [`spec`] — declarative [`FaultSpec`] primitives, the serializable
 //!   vocabulary the `.scenario` corpus files speak; a spec list expands to
 //!   the same pre-sorted event stream the plan builders produce.
-//! * [`scenarios`] — a named library of failure patterns (`ap-vanish`,
-//!   `lte-tunnel`, `flappy-wifi`, `burst-loss-storm`, `handover-walk`)
-//!   shared by the CLI and CI, loaded from the committed `.scenario`
-//!   corpus files rather than hand-written constructors.
 //! * [`reactor`] — the settle loop that moves segments between MPTCP
 //!   connections over any [`Transport`], on a virtual or a wall
 //!   [`ClockSource`] ([`clock`]), and applies fault plans to its shaped
@@ -37,7 +33,6 @@ pub mod clock;
 pub mod injector;
 pub mod plan;
 pub mod reactor;
-pub mod scenarios;
 pub mod spec;
 pub mod testnet;
 

@@ -82,7 +82,8 @@ fn congested_core_scenario_recovers_with_stats() {
     // The collapse is silent; detection must come from RTOs alone.
     r.notify_link_down = false;
     r.server_mut().set_failure_threshold(2);
-    r.attach_faults(emptcp_faults::scenarios::plan("congested_core").expect("library scenario"));
+    let scenario = emptcp_scenario::corpus::load("congested_core").expect("corpus scenario");
+    r.attach_faults(scenario.fault_plan());
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
     // far inside the wall limit.

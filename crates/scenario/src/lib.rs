@@ -14,8 +14,8 @@
 //! * [`io`] — `.scenario` JSON files: parse, validate, and the canonical
 //!   byte form CI replays byte-identically.
 //! * [`corpus`] — the committed scenario corpus embedded at compile time,
-//!   the source of truth the `faults` scenario library and the fleet
-//!   config presets are loaded from.
+//!   the single registry `simulate faults` derives its library from (the
+//!   fleet config presets parse their files too).
 //! * [`gen`] — the deterministic fuzzer: `(run seed, case index)` maps to
 //!   one arbitrary-but-valid scenario, byte-reproducible forever.
 //! * [`shrink`] — greedy delta-debugging: given a failing scenario and a

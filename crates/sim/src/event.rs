@@ -662,75 +662,6 @@ impl<E> KeyHeapQueue<E> {
     }
 }
 
-/// A thin driver over [`EventQueue`] that runs a handler until the queue
-/// drains or a horizon is reached. Most experiments bound their runs with
-/// [`Scheduler::run_until`].
-pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> {
-    /// A scheduler with an empty queue.
-    pub fn new() -> Self {
-        Scheduler {
-            queue: EventQueue::new(),
-        }
-    }
-
-    /// Access the underlying queue (for scheduling from the handler's
-    /// environment between steps).
-    pub fn queue(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Schedule an event at an absolute time.
-    pub fn at(&mut self, t: SimTime, event: E) -> TimerId {
-        self.queue.schedule(t, event)
-    }
-
-    /// Schedule an event after a delay.
-    pub fn after(&mut self, d: SimDuration, event: E) -> TimerId {
-        self.queue.schedule_after(d, event)
-    }
-
-    /// Run events in order until the queue empties or the next event would
-    /// fire after `horizon`; events exactly at the horizon still fire.
-    /// The handler may schedule further events through the supplied queue.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut EventQueue<E>, SimTime, E),
-    {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event vanished");
-            handler(&mut self.queue, at, ev);
-        }
-    }
-
-    /// Run until the queue is fully drained.
-    pub fn run_to_completion<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut EventQueue<E>, SimTime, E),
-    {
-        while let Some((at, ev)) = self.queue.pop() {
-            handler(&mut self.queue, at, ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,42 +860,6 @@ mod tests {
 
     queue_battery!(wheel, EventQueue);
     queue_battery!(keyheap, KeyHeapQueue);
-
-    #[test]
-    fn scheduler_run_until_horizon() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        for i in 1..=10u32 {
-            s.at(SimTime::from_secs(i as u64), i);
-        }
-        let mut fired = Vec::new();
-        s.run_until(SimTime::from_secs(5), |_, _, e| fired.push(e));
-        assert_eq!(fired, vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.queue().len(), 5);
-    }
-
-    #[test]
-    fn scheduler_handler_can_reschedule() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.at(SimTime::from_secs(0), 0);
-        let mut count = 0;
-        s.run_until(SimTime::from_secs(10), |q, t, _| {
-            count += 1;
-            q.schedule(t + SimDuration::from_secs(1), 0);
-        });
-        // Fires at t = 0..=10 inclusive.
-        assert_eq!(count, 11);
-    }
-
-    #[test]
-    fn run_to_completion_drains() {
-        let mut s: Scheduler<&str> = Scheduler::new();
-        s.at(SimTime::from_secs(1), "a");
-        s.at(SimTime::from_secs(2), "b");
-        let mut n = 0;
-        s.run_to_completion(|_, _, _| n += 1);
-        assert_eq!(n, 2);
-        assert!(s.queue().is_empty());
-    }
 
     /// Slot recycling must never resurrect a cancelled event or let a stale
     /// handle cancel the slot's new occupant.

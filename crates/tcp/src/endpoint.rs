@@ -34,9 +34,8 @@ pub struct TcpConfig {
     pub init_cwnd_segments: u32,
     /// Receive buffer: the advertised window ceiling.
     pub rwnd_bytes: u64,
-    /// Delayed ACKs (every second full segment or timeout).
-    pub delayed_ack: bool,
-    /// Delayed-ACK timeout.
+    /// Delayed-ACK timeout: a lone segment is acknowledged after this long
+    /// unless a second one arrives first.
     pub delack_timeout: SimDuration,
     /// RFC 2861 congestion-window validation after idle. eMPTCP disables
     /// this on resumed subflows (§3.6).
@@ -51,7 +50,6 @@ impl Default for TcpConfig {
             mss: DEFAULT_MSS,
             init_cwnd_segments: 10,
             rwnd_bytes: 4 * 1024 * 1024,
-            delayed_ack: true,
             delack_timeout: SimDuration::from_millis(40),
             cwnd_validation: true,
             algorithm: CcAlgorithm::Reno,
@@ -534,6 +532,11 @@ impl TcpEndpoint {
 
     /// Process an arriving segment.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> SegmentOutcome {
+        // RFC 5961 §5.2: an ACK for data never sent is unacceptable, and the
+        // whole segment is discarded before it can touch any state.
+        if seg.flags.ack && seg.ack > self.snd_nxt {
+            return SegmentOutcome::default();
+        }
         let mut outcome = SegmentOutcome {
             mp_prio: seg.mp_prio,
             ..SegmentOutcome::default()
@@ -876,10 +879,8 @@ impl TcpEndpoint {
 
     fn schedule_ack(&mut self, now: SimTime, _payload: u32) {
         self.pending_acks += 1;
-        let force = !self.cfg.delayed_ack
-            || self.pending_acks >= 2
-            || self.fin_received
-            || self.state != TcpState::Established;
+        let force =
+            self.pending_acks >= 2 || self.fin_received || self.state != TcpState::Established;
         if force {
             self.pending_acks = 0;
             self.delack_deadline = None;
@@ -1318,6 +1319,28 @@ mod tests {
     }
 
     #[test]
+    fn ack_beyond_snd_nxt_is_discarded() {
+        let mut now = SimTime::ZERO;
+        let half = SimDuration::from_millis(5);
+        let mut c = TcpEndpoint::client(TcpConfig::default());
+        let mut s = TcpEndpoint::listener(TcpConfig::default());
+        handshake(&mut now, &mut c, &mut s);
+        s.write(5 * 1428);
+        pump(&mut now, half, &mut s, &mut c);
+        let (una, nxt) = (s.snd_una, s.snd_nxt);
+        let mut ack = c.poll_transmit(now).expect("client acks the data");
+        ack.ack = nxt + 10_000;
+        now += half;
+        s.on_segment(now, ack);
+        assert_eq!(
+            (s.snd_una, s.snd_nxt),
+            (una, nxt),
+            "forged ACK moved snd_una"
+        );
+        assert_eq!(s.bytes_in_flight(), nxt - una);
+    }
+
+    #[test]
     fn out_of_order_reassembly() {
         let mut now = SimTime::ZERO;
         let half = SimDuration::from_millis(5);
@@ -1451,11 +1474,7 @@ mod tests {
     #[test]
     fn delayed_ack_coalesces() {
         let mut now = SimTime::ZERO;
-        let cfg = TcpConfig {
-            delayed_ack: true,
-            ..TcpConfig::default()
-        };
-        let mut c = TcpEndpoint::client(cfg);
+        let mut c = TcpEndpoint::client(TcpConfig::default());
         let mut s = TcpEndpoint::listener(TcpConfig::default());
         let half = SimDuration::from_millis(5);
         handshake(&mut now, &mut c, &mut s);
